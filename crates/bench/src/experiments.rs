@@ -1633,15 +1633,11 @@ const EXP16_CLIENTS: usize = 4;
 /// exp15, but more of them: on a shared single-core host the per-pass
 /// throughput swings by several percent, more than the overhead bar).
 const EXP16_PASSES: usize = 6;
-/// Maximum tolerated sketch + time-series overhead on daemon
-/// throughput (release acceptance bar: 3%).
+/// Maximum tolerated workload-sketch overhead on daemon throughput
+/// (release acceptance bar: 3%).
 const EXP16_MAX_OVERHEAD: f64 = 0.03;
-/// Deliberately oversized cache the advisor must shrink (advisor leg).
-const EXP16_OVERSIZED_CACHE: usize = 1 << 17;
-/// Advisor time-series window in the advisor leg (seconds).
-const EXP16_WINDOW_SECS: u64 = 1;
 
-/// Experiment 16 (extension): **workload intelligence** — four legs over
+/// Experiment 16 (extension): **workload intelligence** — three legs over
 /// the engine's streaming sketches:
 ///
 /// 1. *Accuracy*: a Zipf(θ=1) stream of [`EXP16_STREAM`] pairs drawn
@@ -1655,12 +1651,7 @@ const EXP16_WINDOW_SECS: u64 = 1;
 ///    both — best-of throughput overhead ≤ [`EXP16_MAX_OVERHEAD`] in
 ///    release, with the sketch-on daemon's `/metrics` workload gauges
 ///    asserted populated and the sketch-off daemon's absent.
-/// 3. *Advisor*: an engine with a deliberately oversized adaptive cache
-///    ([`EXP16_OVERSIZED_CACHE`] entries, one-second windows) served a
-///    skewed repeating stream; the advisor must shrink the cache within
-///    two windows and the final capacity must sit within the advisor's
-///    own resize threshold of its recommendation.
-/// 4. *Trace round-trip*: a client-supplied correlation ID sent via the
+/// 3. *Trace round-trip*: a client-supplied correlation ID sent via the
 ///    binary `PSQ2` frame must come back verbatim from the daemon's
 ///    trace ring.
 ///
@@ -1669,7 +1660,7 @@ pub fn exp16_workload(opt: &ExpOptions) {
     use pspc_obs::WorkloadSketch;
     use pspc_server::client::RemoteClient;
     use pspc_server::server::{serve_with_obs, ObsConfig};
-    use pspc_service::{EngineConfig, QueryEngine};
+    use pspc_service::EngineConfig;
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
@@ -1810,7 +1801,7 @@ pub fn exp16_workload(opt: &ExpOptions) {
             );
         }
 
-        // ---- Leg 4 (against the sketch-on daemon, before shutdown):
+        // ---- Leg 3 (against the sketch-on daemon, before shutdown):
         // a client correlation ID round-trips through the PSQ2 frame
         // into the trace ring verbatim.
         let trace_id: u64 = 0x7E57_1DBE_EF00_0000 | u64::from(d.code.len() as u8);
@@ -1842,80 +1833,25 @@ pub fn exp16_workload(opt: &ExpOptions) {
             h.shutdown();
         }
 
-        // ---- Leg 3: the advisor shrinks a deliberately oversized
-        // adaptive cache onto the distinct-pair estimate. One-second
-        // windows; a skewed repeating stream keeps the estimate stable
-        // so convergence means "no further resizes, capacity within the
-        // advisor's own threshold of its recommendation".
-        let eng = QueryEngine::with_config(
-            idx.clone(),
-            EngineConfig {
-                workers: opt.threads,
-                cache_capacity: EXP16_OVERSIZED_CACHE,
-                cache_adaptive: true,
-                window_secs: EXP16_WINDOW_SECS,
-                ..EngineConfig::default()
-            },
-        );
-        let hot_universe = random_pairs(&g, 2048, 0x516);
-        let skew = zipf_sample(&hot_universe, 4096, 1.0, 0xA5);
-        let skew_expect = idx.query_batch_sequential(&skew);
-        let t0 = Instant::now();
-        let mut first_resize: Option<Duration> = None;
-        while t0.elapsed() < Duration::from_millis(2 * 1000 * EXP16_WINDOW_SECS + 200) {
-            let got = eng.run(&skew);
-            assert_eq!(got, skew_expect, "{}: cached answers diverge", d.code);
-            if first_resize.is_none()
-                && eng.cache().expect("cache on").capacity() != EXP16_OVERSIZED_CACHE
-            {
-                first_resize = Some(t0.elapsed());
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        }
-        let cap = eng.cache().expect("cache on").capacity();
-        let rec = eng
-            .recommended_cache_capacity()
-            .expect("advisor published a recommendation") as f64;
-        let resized_at = first_resize.expect("advisor never resized the oversized cache");
-        assert!(
-            resized_at.as_secs_f64() <= 2.0 * EXP16_WINDOW_SECS as f64,
-            "{}: first resize after {resized_at:?}, more than two windows",
-            d.code
-        );
-        assert!(cap < EXP16_OVERSIZED_CACHE, "cache did not shrink");
-        let drift = (rec - cap as f64).abs() / cap.max(1) as f64;
-        assert!(
-            drift <= pspc_service::advisor::RESIZE_THRESHOLD,
-            "{}: capacity {cap} has not converged onto recommendation {rec:.0}",
-            d.code
-        );
-
         rows.push(vec![
             d.code.to_string(),
             format!("{:.0}", best_qps[0]),
             format!("{:.0}", best_qps[1]),
             format!("{:.1}%", overhead * 100.0),
             format!("{:.0}", on.distinct_pairs),
-            format!("{EXP16_OVERSIZED_CACHE}"),
-            format!("{cap}"),
-            format!("{rec:.0}"),
         ]);
         println!(
             "[exp16-json] {{\"experiment\":\"exp16_workload\",\"dataset\":\"{}\",\
              \"off_qps\":{:.0},\"on_qps\":{:.0},\"overhead_pct\":{:.2},\
-             \"daemon_distinct\":{:.1},\"cache_initial\":{EXP16_OVERSIZED_CACHE},\
-             \"cache_final\":{cap},\"cache_recommended\":{rec:.0},\
-             \"advisor_resize_ms\":{:.0},\"trace_id_roundtrip\":true}}",
+             \"daemon_distinct\":{:.1},\"trace_id_roundtrip\":true}}",
             d.code,
             best_qps[0],
             best_qps[1],
             overhead * 100.0,
             on.distinct_pairs,
-            resized_at.as_secs_f64() * 1e3,
         );
         eprintln!(
-            "[exp16] {} done: off {:.0} q/s, on {:.0} q/s ({:+.1}% overhead), \
-             cache {EXP16_OVERSIZED_CACHE} → {cap} (advice {rec:.0})",
+            "[exp16] {} done: off {:.0} q/s, on {:.0} q/s ({:+.1}% overhead)",
             d.code,
             best_qps[0],
             best_qps[1],
@@ -1923,17 +1859,8 @@ pub fn exp16_workload(opt: &ExpOptions) {
         );
     }
     print_table(
-        "Exp 16: workload intelligence — sketch accuracy, overhead, adaptive cache",
-        &[
-            "Dataset",
-            "off q/s",
-            "on q/s",
-            "overhead",
-            "distinct est",
-            "cache0",
-            "cache*",
-            "advice",
-        ],
+        "Exp 16: workload intelligence — sketch accuracy, overhead",
+        &["Dataset", "off q/s", "on q/s", "overhead", "distinct est"],
         &rows,
     );
 }
@@ -2072,9 +1999,8 @@ mod tests {
         // Asserts the HLL estimate is within the 5% bar on a (debug-
         // sized) Zipf stream, daemon answers match the sequential
         // reference with the sketch on and off, the traced correlation
-        // ID lands in the trace ring, and the advisor shrinks an
-        // oversized adaptive cache onto its recommendation; the ≤3%
-        // overhead bar is release-only.
+        // ID lands in the trace ring; the ≤3% overhead bar is
+        // release-only.
         exp16_workload(&opt);
     }
 

@@ -219,7 +219,8 @@ impl HistogramSnapshot {
     /// quantiles of the samples that arrived in between. Both snapshots
     /// must come from the same (monotonically growing) histogram; a
     /// mismatched pair degrades gracefully to clamped-at-zero buckets.
-    /// This is what windowed p50/p99 time series are built from.
+    /// This is how a caller reads the quantiles of one measurement
+    /// interval from two scrapes.
     pub fn delta(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
         let buckets: Vec<u64> = self
             .buckets

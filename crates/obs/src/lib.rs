@@ -11,7 +11,7 @@
 //!   adds and whose scrape is atomic loads, so metric exposition can
 //!   never stall request recording. Snapshots derive p50/p90/p99/p999
 //!   from cumulative bucket counts, subtract
-//!   ([`HistogramSnapshot::delta`]) to yield windowed quantiles, and
+//!   ([`HistogramSnapshot::delta`]) to yield per-interval quantiles, and
 //!   render directly into Prometheus `_bucket`/`_sum`/`_count` series.
 //! * [`trace`] — [`Span`]/[`StageTimer`] carry a per-request trace ID
 //!   through the daemon's pipeline, attributing time to [`Stage`]s
@@ -26,10 +26,8 @@
 //!   [`HyperLogLog`]/[`AtomicHyperLogLog`] distinct-pair estimation
 //!   (14-bit HyperLogLog++, sparse→dense, mergeable, ~1% error),
 //!   [`SpaceSaving`] top-K heavy hitters with guaranteed `≤ N/k` count
-//!   error, a [`TimeSeriesRing`] of per-window qps / hit-rate / p50 /
-//!   p99 ([`WindowStats`]) built from histogram deltas, and the
-//!   [`WorkloadSketch`] aggregate the query engine feeds per batch
-//!   (`GET /debug/hotspots`, `GET /debug/timeseries`).
+//!   error, and the [`WorkloadSketch`] aggregate the query engine feeds
+//!   per batch (`GET /debug/hotspots`).
 //! * [`log`] — `PSPC_LOG`-leveled `key=value` records on stderr via the
 //!   [`error!`], [`warn!`], [`info!`] and [`debug!`] macros
 //!   (`PSPC_LOG=off` silences everything).
@@ -63,7 +61,7 @@ pub mod trace;
 pub use hist::{bucket_bounds, bucket_index, HistogramSnapshot, LogHistogram, NUM_BUCKETS};
 pub use log::{set_level, set_off, Level};
 pub use sketch::{
-    pair_fingerprint, AtomicHyperLogLog, HeavyHitter, HyperLogLog, SpaceSaving, TimeSeriesRing,
-    WindowStats, WorkloadSketch, DEFAULT_HEAVY_HITTERS, HLL_PRECISION, HLL_REGISTERS,
+    pair_fingerprint, AtomicHyperLogLog, HeavyHitter, HyperLogLog, SpaceSaving, WorkloadSketch,
+    DEFAULT_HEAVY_HITTERS, HLL_PRECISION, HLL_REGISTERS,
 };
 pub use trace::{next_trace_id, RequestTrace, SlowLog, Span, Stage, StageTimer, TraceRing};

@@ -19,12 +19,6 @@
 //!   reported [`HeavyHitter`]: `count - error ≤ true ≤ count` and
 //!   `error ≤ N/k` where `N` is the stream length — any key whose true
 //!   frequency exceeds `N/k` is guaranteed to be present.
-//! * [`TimeSeriesRing`] — a bounded ring of per-window
-//!   ([`WindowStats`]) serving rates: qps, cache hit rate and windowed
-//!   p50/p99 derived from [`LogHistogram`] snapshot *deltas* between
-//!   window boundaries. Recording is wait-free (`Relaxed` adds plus one
-//!   histogram record); window rolls happen at most once per window
-//!   behind a `try_lock`, so no recorder ever blocks on one.
 //! * [`WorkloadSketch`] — the aggregate the query engine feeds:
 //!   distinct-(s,t)-pair HLL, hot-pair and hot-source SpaceSaving
 //!   sketches and a total-pair counter, behind one `record_batch` call.
@@ -38,8 +32,6 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 use parking_lot::Mutex;
-
-use crate::hist::{HistogramSnapshot, LogHistogram};
 
 /// HyperLogLog precision: registers are indexed by the hash's top
 /// `HLL_PRECISION` bits.
@@ -346,7 +338,8 @@ pub struct SpaceSaving<K> {
 /// rest of a SpaceSaving update combined on u32 / u32-pair keys — a
 /// miss on a full sketch hits the index three times (lookup, evictee
 /// removal, insertion) — and these keys need no DoS resistance: the
-/// sketch is advisory and bounded at `k` entries regardless of input.
+/// sketch only feeds diagnostics and is bounded at `k` entries
+/// regardless of input.
 #[derive(Clone, Copy, Default)]
 pub struct MixHasher(u64);
 
@@ -471,229 +464,6 @@ impl<K: Copy + Eq + Hash + std::fmt::Debug> std::fmt::Debug for SpaceSaving<K> {
             .field("capacity", &self.capacity)
             .field("total", &self.total)
             .field("monitored", &self.slots.len())
-            .finish()
-    }
-}
-
-/// Serving rates over one time window, derived from counter and
-/// histogram deltas between window boundaries.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WindowStats {
-    /// Unix seconds at which the window starts.
-    pub start_unix_s: u64,
-    /// Window span in seconds (a closed window spans one or more
-    /// configured windows when traffic was idle in between; the open
-    /// window spans the seconds elapsed so far).
-    pub span_secs: u64,
-    /// Requests completed in the window.
-    pub requests: u64,
-    /// Point queries answered in the window.
-    pub queries: u64,
-    /// Queries answered from the result cache in the window.
-    pub cache_hits: u64,
-    /// Queries per second over the window span.
-    pub qps: f64,
-    /// `cache_hits / queries` (0 when no queries landed).
-    pub hit_rate: f64,
-    /// Median request latency in the window, microseconds.
-    pub p50_us: f64,
-    /// 99th-percentile request latency in the window, microseconds.
-    pub p99_us: f64,
-    /// Whether this is the still-accumulating current window.
-    pub open: bool,
-}
-
-struct RingState {
-    /// Window id (`unix_s / window_secs`) the live counters belong to.
-    window_id: u64,
-    /// Cumulative totals captured at the last window boundary.
-    requests_at: u64,
-    queries_at: u64,
-    hits_at: u64,
-    hist_at: HistogramSnapshot,
-    /// Closed windows, newest last.
-    closed: Vec<WindowStats>,
-}
-
-/// A bounded ring of per-window serving rates ([`WindowStats`]).
-///
-/// [`TimeSeriesRing::record`] is wait-free: three `Relaxed` adds plus
-/// one [`LogHistogram`] record. Whichever caller first crosses a window
-/// boundary closes the previous window under a `try_lock` — contenders
-/// skip rather than wait, so recording never blocks. Readers
-/// ([`TimeSeriesRing::recent`]) take the same lock briefly and also see
-/// the still-open window as a partial entry, so dashboards show live
-/// traffic without waiting a full window.
-pub struct TimeSeriesRing {
-    window_secs: u64,
-    capacity: usize,
-    requests: AtomicU64,
-    queries: AtomicU64,
-    hits: AtomicU64,
-    latency: LogHistogram,
-    current_window: AtomicU64,
-    state: Mutex<RingState>,
-}
-
-impl TimeSeriesRing {
-    /// A ring keeping the most recent `capacity` closed windows of
-    /// `window_secs` seconds each.
-    ///
-    /// # Panics
-    /// Panics when `window_secs == 0` or `capacity == 0`.
-    pub fn new(window_secs: u64, capacity: usize) -> Self {
-        assert!(window_secs > 0, "window_secs must be positive");
-        assert!(capacity > 0, "capacity must be positive");
-        TimeSeriesRing {
-            window_secs,
-            capacity,
-            requests: AtomicU64::new(0),
-            queries: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            latency: LogHistogram::new(),
-            current_window: AtomicU64::new(0),
-            state: Mutex::new(RingState {
-                window_id: 0,
-                requests_at: 0,
-                queries_at: 0,
-                hits_at: 0,
-                hist_at: LogHistogram::new().snapshot(),
-                closed: Vec::new(),
-            }),
-        }
-    }
-
-    /// The configured window length in seconds.
-    pub fn window_secs(&self) -> u64 {
-        self.window_secs
-    }
-
-    /// Records one completed request: `queries` answered (of which
-    /// `cache_hits` came from the cache) in `latency_ns` wall time, at
-    /// `now_unix_s`. Wait-free except for the at-most-once-per-window
-    /// boundary roll, which is a `try_lock` (skipped under contention).
-    #[inline]
-    pub fn record(&self, queries: u64, cache_hits: u64, latency_ns: u64, now_unix_s: u64) {
-        // Roll first so this sample lands in the window it belongs to.
-        self.tick(now_unix_s);
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        self.queries.fetch_add(queries, Ordering::Relaxed);
-        self.hits.fetch_add(cache_hits, Ordering::Relaxed);
-        self.latency.record(latency_ns);
-    }
-
-    /// Closes the previous window if `now_unix_s` has crossed a window
-    /// boundary. Called automatically by [`TimeSeriesRing::record`] and
-    /// [`TimeSeriesRing::recent`]; exposed so scrape paths can roll
-    /// windows on idle daemons.
-    pub fn tick(&self, now_unix_s: u64) {
-        let wid = now_unix_s / self.window_secs;
-        if self.current_window.load(Ordering::Relaxed) == wid {
-            return;
-        }
-        if let Some(mut g) = self.state.try_lock() {
-            self.roll_locked(&mut g, wid);
-        }
-    }
-
-    fn roll_locked(&self, g: &mut RingState, wid: u64) {
-        if g.window_id == wid {
-            return;
-        }
-        let prev = g.window_id;
-        if prev != 0 && wid > prev {
-            let (stats, hist_now) = self.window_since(g, prev, (wid - prev) * self.window_secs);
-            g.requests_at += stats.requests;
-            g.queries_at += stats.queries;
-            g.hits_at += stats.cache_hits;
-            g.hist_at = hist_now;
-            if stats.requests > 0 || !g.closed.is_empty() {
-                g.closed.push(stats);
-                let excess = g.closed.len().saturating_sub(self.capacity);
-                if excess > 0 {
-                    g.closed.drain(..excess);
-                }
-            }
-        }
-        g.window_id = wid;
-        self.current_window.store(wid, Ordering::Relaxed);
-    }
-
-    /// Stats for the span from the last boundary to now, plus the
-    /// histogram snapshot backing them (so rolls can advance `hist_at`
-    /// without a second scrape).
-    fn window_since(
-        &self,
-        g: &RingState,
-        start_wid: u64,
-        span_secs: u64,
-    ) -> (WindowStats, HistogramSnapshot) {
-        let requests = self.requests.load(Ordering::Relaxed) - g.requests_at;
-        let queries = self.queries.load(Ordering::Relaxed) - g.queries_at;
-        let hits = self.hits.load(Ordering::Relaxed) - g.hits_at;
-        let hist_now = self.latency.snapshot();
-        let delta = hist_now.delta(&g.hist_at);
-        let span = span_secs.max(1);
-        let stats = WindowStats {
-            start_unix_s: start_wid * self.window_secs,
-            span_secs,
-            requests,
-            queries,
-            cache_hits: hits,
-            qps: queries as f64 / span as f64,
-            hit_rate: if queries > 0 {
-                hits as f64 / queries as f64
-            } else {
-                0.0
-            },
-            p50_us: delta.quantile(0.50) as f64 / 1_000.0,
-            p99_us: delta.quantile(0.99) as f64 / 1_000.0,
-            open: false,
-        };
-        (stats, hist_now)
-    }
-
-    /// Up to `n` windows, newest first. The first entry is the
-    /// still-open current window (marked [`WindowStats::open`]) whenever
-    /// it has traffic; closed windows follow.
-    pub fn recent(&self, n: usize, now_unix_s: u64) -> Vec<WindowStats> {
-        if n == 0 {
-            return Vec::new();
-        }
-        let wid = now_unix_s / self.window_secs;
-        let mut g = self.state.lock();
-        self.roll_locked(&mut g, wid);
-        let mut out = Vec::with_capacity(n.min(g.closed.len() + 1));
-        let elapsed = now_unix_s - wid * self.window_secs;
-        let (mut open, _) = self.window_since(&g, wid, elapsed);
-        open.open = true;
-        if open.requests > 0 {
-            out.push(open);
-        }
-        for w in g.closed.iter().rev() {
-            if out.len() >= n {
-                break;
-            }
-            out.push(w.clone());
-        }
-        out
-    }
-
-    /// The most recent *closed* window, if any has been completed.
-    pub fn last_closed(&self, now_unix_s: u64) -> Option<WindowStats> {
-        let wid = now_unix_s / self.window_secs;
-        let mut g = self.state.lock();
-        self.roll_locked(&mut g, wid);
-        g.closed.last().cloned()
-    }
-}
-
-impl std::fmt::Debug for TimeSeriesRing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TimeSeriesRing")
-            .field("window_secs", &self.window_secs)
-            .field("capacity", &self.capacity)
-            .field("requests", &self.requests.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -975,47 +745,6 @@ mod tests {
             assert!(h.count >= truth, "count must never undercount");
             assert!(h.guaranteed() <= truth, "guaranteed must never overcount");
         }
-    }
-
-    #[test]
-    fn timeseries_ring_closes_windows_and_derives_rates() {
-        let ring = TimeSeriesRing::new(10, 4);
-        let t0 = 1_000_000u64;
-        // Window 1: 5 requests × 100 queries, half cache hits, 1 ms.
-        for _ in 0..5 {
-            ring.record(100, 50, 1_000_000, t0);
-        }
-        // Crossing into the next window closes the first.
-        ring.record(200, 0, 8_000_000, t0 + 10);
-        let closed = ring.last_closed(t0 + 10).expect("one closed window");
-        assert_eq!(closed.requests, 5);
-        assert_eq!(closed.queries, 500);
-        assert_eq!(closed.cache_hits, 250);
-        assert_eq!(closed.qps, 50.0);
-        assert_eq!(closed.hit_rate, 0.5);
-        assert!(closed.p50_us >= 1_000.0 && closed.p50_us < 1_100.0);
-        assert!(!closed.open);
-        // recent() leads with the open window.
-        let recent = ring.recent(8, t0 + 15);
-        assert!(recent[0].open);
-        assert_eq!(recent[0].requests, 1);
-        assert_eq!(recent[0].queries, 200);
-        assert_eq!(recent[1].requests, 5);
-    }
-
-    #[test]
-    fn timeseries_ring_is_bounded_and_spans_idle_gaps() {
-        let ring = TimeSeriesRing::new(10, 2);
-        let t0 = 2_000_000u64;
-        for w in 0..5u64 {
-            ring.record(10, 0, 1_000, t0 + w * 10);
-        }
-        // Long idle gap: the next record closes one window spanning it.
-        ring.record(10, 0, 1_000, t0 + 100);
-        let recent = ring.recent(16, t0 + 100);
-        let closed: Vec<_> = recent.iter().filter(|w| !w.open).collect();
-        assert!(closed.len() <= 2, "ring capacity bounds closed windows");
-        assert!(closed[0].span_secs >= 10);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use pspc_service::EngineConfig;
 
 const USAGE: &str = "usage: pspc serve <index> [--addr host:port] [--workers n] \
 [--queue-depth n] [--chunk n] [--no-sort] [--cache-capacity n] [--cache-shards n] \
-[--cache-adaptive] [--no-trace] [--no-sketch] [--mmap [--max-resident-shards k]] \
+[--no-trace] [--no-sketch] [--mmap [--max-resident-shards k]] \
 | pspc query --remote host:port \
 [--pairs <file|->] [--format tsv|json] [--trace-id n] [s t ...] | \
 pspc insert --remote host:port \
@@ -180,8 +180,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|e| format!("bad --cache-shards: {e}"))?
             }
-            // Let the advisor resize the result cache between windows.
-            "--cache-adaptive" => cfg.cache_adaptive = true,
             "--mmap" => mmap = true,
             // Residency cap for a sharded index under --mmap; 0 (the
             // default) keeps every shard mapped.
@@ -191,8 +189,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                     .map_err(|e| format!("bad --max-resident-shards: {e}"))?
             }
             "--no-trace" => obs.tracing = false,
-            // Disable the workload sketches (HLL + heavy hitters +
-            // time-series); /debug/hotspots then reports enabled:false.
+            // Disable the workload sketches (HLL + heavy hitters);
+            // /debug/hotspots then reports enabled:false.
             "--no-sketch" => cfg.workload_sketch = false,
             flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}\n{USAGE}")),
             path => {
@@ -253,15 +251,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             },
         );
     }
-    if cfg.cache_adaptive {
-        if cfg.cache_capacity == 0 {
-            return Err("serve: --cache-adaptive needs a cache; give --cache-capacity > 0".into());
-        }
-        info!(
-            "adaptive cache advisor enabled",
-            capacity = cfg.cache_capacity
-        );
-    }
     // serve_with_obs logs "daemon listening" with the resolved address.
     let handle =
         serve_with_obs(index, &addr, cfg, obs).map_err(|e| format!("binding {addr}: {e}"))?;
@@ -272,7 +261,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         addr = handle.local_addr(),
         insert = insertable,
         endpoints = "/query,/insert,/healthz,/metrics,/debug/trace,/debug/slow,\
-                     /debug/hotspots,/debug/timeseries,/shutdown",
+                     /debug/hotspots,/shutdown",
     );
     let final_metrics = handle.wait();
     info!(
@@ -448,7 +437,8 @@ mod tests {
         ]))
         .is_err());
         assert!(run(&s(&["query", "--remote", "x", "--trace-id"])).is_err());
-        assert!(run(&s(&["serve", "--cache-adaptive"])).is_err()); // missing index
+        let err = run(&s(&["serve", "--cache-adaptive"])).unwrap_err();
+        assert!(err.contains("unknown flag --cache-adaptive"), "{err}");
         assert!(run(&s(&["insert"])).is_err()); // missing --remote
         assert!(run(&s(&["insert", "--remote", "x", "--bogus"])).is_err());
         assert!(run(&s(&["insert", "--remote", "x", "1"])).is_err()); // odd ids

@@ -13,8 +13,7 @@
 //! * [`http`] — a hand-rolled HTTP/1.1 subset (no crates.io access, so
 //!   no framework) behind `POST /query`, `POST /insert`, `GET /healthz`,
 //!   `GET /metrics`, `GET /debug/trace`, `GET /debug/slow`,
-//!   `GET /debug/hotspots`, `GET /debug/timeseries` and
-//!   `POST /shutdown`;
+//!   `GET /debug/hotspots` and `POST /shutdown`;
 //! * [`metrics`] — served/rejected/in-flight counters plus log-bucketed
 //!   latency histograms ([`pspc_obs::LogHistogram`]) for request,
 //!   insert and per-stage latencies, rendered as Prometheus text
@@ -47,12 +46,9 @@
 //! — the `x-pspc-trace-id` header over HTTP, the `PSQ2` frame (or
 //! `pspc query --remote --trace-id`) over the binary protocol — and the
 //! daemon adopts it verbatim. The engine's streaming workload sketches
-//! (HyperLogLog distinct pairs, SpaceSaving heavy hitters, windowed
-//! time series) surface on `GET /debug/hotspots`,
-//! `GET /debug/timeseries` and the `pspc_distinct_pairs_estimate` /
-//! `pspc_hot_pair_share` / `pspc_window_*` metric families; under
-//! `pspc serve --cache-adaptive` the advisor resizes the result cache
-//! toward the distinct-pair estimate between windows. Lifecycle and
+//! (HyperLogLog distinct pairs, SpaceSaving heavy hitters) surface on
+//! `GET /debug/hotspots` and the `pspc_distinct_pairs_estimate` /
+//! `pspc_hot_pair_share` metric families. Lifecycle and
 //! per-request diagnostics are structured one-line `key=value` records
 //! on stderr, gated by `PSPC_LOG=error|warn|info|debug` (`off`
 //! silences everything).
@@ -70,8 +66,8 @@
 //! $ printf '0 42\n7 99\n' | curl -s --data-binary @- http://127.0.0.1:7411/query
 //! 0       42      3       2
 //! 7       99      4       11
-//! $ curl -s http://127.0.0.1:7411/metrics | grep p99
-//! pspc_request_latency_p99_us 184.20
+//! $ curl -s http://127.0.0.1:7411/metrics | grep request_latency_seconds_count
+//! pspc_request_latency_seconds_count 1
 //! $ pspc query --remote 127.0.0.1:7411 0 42          # binary protocol
 //! $ curl -s -X POST http://127.0.0.1:7411/shutdown   # graceful drain
 //! ```

@@ -6,13 +6,15 @@
 //! `record` is three `Relaxed` atomic adds and whose scrape is atomic
 //! loads — a `GET /metrics` scrape can therefore *never* block request
 //! recording (there is no lock anywhere in this module), and the
-//! percentiles see every request since startup rather than a sliding
-//! window. [`MetricsSnapshot::render`] emits full Prometheus exposition:
+//! histograms cover every request since startup. They are the only
+//! latency representation: every quantile is read from their `_bucket`
+//! series (or [`HistogramSnapshot::quantile`]), never from precomputed
+//! gauges. [`MetricsSnapshot::render`] emits full Prometheus exposition:
 //! `# HELP`/`# TYPE` lines for every family, `_bucket`/`_sum`/`_count`
 //! series for the histograms (seconds, as Prometheus convention wants),
 //! per-worker busy-time/chunks gauges, and the scalar gauges.
 
-use pspc_obs::{HistogramSnapshot, LogHistogram, Stage, WindowStats};
+use pspc_obs::{HistogramSnapshot, LogHistogram, Stage};
 use pspc_service::{CacheStats, WorkerStat};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -171,8 +173,6 @@ impl Metrics {
     /// block recorders). Engine-side gauges come in through `engine` —
     /// the metrics store holds only what the handlers record.
     pub fn snapshot(&self, engine: EngineGauges) -> MetricsSnapshot {
-        let request_hist = self.request_latency.snapshot();
-        let insert_hist = self.insert_latency.snapshot();
         MetricsSnapshot {
             uptime_secs: self.start.elapsed().as_secs_f64(),
             served: self.served.load(Ordering::Relaxed),
@@ -190,15 +190,8 @@ impl Metrics {
             insert_requests: self.insert_requests.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
             insert_conflicts: self.insert_conflicts.load(Ordering::Relaxed),
-            latency_samples: request_hist.count(),
-            p50_us: request_hist.quantile(0.50) as f64 / 1e3,
-            p90_us: request_hist.quantile(0.90) as f64 / 1e3,
-            p99_us: request_hist.quantile(0.99) as f64 / 1e3,
-            p999_us: request_hist.quantile(0.999) as f64 / 1e3,
-            insert_p50_us: insert_hist.quantile(0.50) as f64 / 1e3,
-            insert_p99_us: insert_hist.quantile(0.99) as f64 / 1e3,
-            request_hist,
-            insert_hist,
+            request_hist: self.request_latency.snapshot(),
+            insert_hist: self.insert_latency.snapshot(),
             stage_hists: self
                 .stage_latency
                 .iter()
@@ -242,12 +235,6 @@ pub struct WorkloadGauges {
     pub distinct_pairs: f64,
     /// Guaranteed traffic share of the hottest `(s, t)` pair (`0..=1`).
     pub hot_pair_share: f64,
-    /// Advisor-recommended cache capacity; `None` before the first
-    /// verdict or when the advisor is not running.
-    pub recommended_capacity: Option<u64>,
-    /// Newest time-series window (open or last closed); `None` before
-    /// any traffic lands.
-    pub window: Option<WindowStats>,
 }
 
 /// One scrape of the daemon's counters and histograms.
@@ -288,22 +275,8 @@ pub struct MetricsSnapshot {
     pub inserts: u64,
     /// Well-formed inserts refused with 409 (index not dynamic).
     pub insert_conflicts: u64,
-    /// Request latency samples recorded since startup.
-    pub latency_samples: u64,
-    /// Median request service latency, microseconds (log-bucketed: ≤3.2%
-    /// above the exact sample, like every quantile below).
-    pub p50_us: f64,
-    /// 90th-percentile request service latency, microseconds.
-    pub p90_us: f64,
-    /// 99th-percentile request service latency, microseconds.
-    pub p99_us: f64,
-    /// 99.9th-percentile request service latency, microseconds.
-    pub p999_us: f64,
-    /// Median insert service latency, microseconds.
-    pub insert_p50_us: f64,
-    /// 99th-percentile insert service latency, microseconds.
-    pub insert_p99_us: f64,
-    /// The full request-latency histogram.
+    /// The full request-latency histogram since startup; every request
+    /// quantile derives from it ([`HistogramSnapshot::quantile`]).
     pub request_hist: HistogramSnapshot,
     /// The full insert-latency histogram.
     pub insert_hist: HistogramSnapshot,
@@ -315,8 +288,8 @@ pub struct MetricsSnapshot {
     /// `pspc_cache_*` lines are then omitted from the exposition).
     pub cache: Option<CacheStats>,
     /// Workload-sketch gauges; `None` when the sketch is disabled (the
-    /// `pspc_workload_*`, `pspc_distinct_*`, `pspc_hot_*` and
-    /// `pspc_window_*` lines are then omitted).
+    /// `pspc_workload_*`, `pspc_distinct_*` and `pspc_hot_*` lines are
+    /// then omitted).
     pub workload: Option<WorkloadGauges>,
 }
 
@@ -505,62 +478,6 @@ impl MetricsSnapshot {
             "",
             self.insert_conflicts,
         );
-        family(
-            &mut t,
-            "pspc_insert_latency_p50_us",
-            "gauge",
-            "Median insert service latency, microseconds.",
-        );
-        sample(
-            &mut t,
-            "pspc_insert_latency_p50_us",
-            "",
-            format_args!("{:.2}", self.insert_p50_us),
-        );
-        family(
-            &mut t,
-            "pspc_insert_latency_p99_us",
-            "gauge",
-            "99th-percentile insert service latency, microseconds.",
-        );
-        sample(
-            &mut t,
-            "pspc_insert_latency_p99_us",
-            "",
-            format_args!("{:.2}", self.insert_p99_us),
-        );
-        family(
-            &mut t,
-            "pspc_latency_samples",
-            "gauge",
-            "Request latency samples recorded since startup.",
-        );
-        sample(&mut t, "pspc_latency_samples", "", self.latency_samples);
-        for (name, v, help) in [
-            (
-                "pspc_request_latency_p50_us",
-                self.p50_us,
-                "Median request service latency, microseconds.",
-            ),
-            (
-                "pspc_request_latency_p90_us",
-                self.p90_us,
-                "90th-percentile request service latency, microseconds.",
-            ),
-            (
-                "pspc_request_latency_p99_us",
-                self.p99_us,
-                "99th-percentile request service latency, microseconds.",
-            ),
-            (
-                "pspc_request_latency_p999_us",
-                self.p999_us,
-                "99.9th-percentile request service latency, microseconds.",
-            ),
-        ] {
-            family(&mut t, name, "gauge", help);
-            sample(&mut t, name, "", format_args!("{v:.2}"));
-        }
         histogram(
             &mut t,
             "pspc_request_latency_seconds",
@@ -701,42 +618,6 @@ impl MetricsSnapshot {
                 "",
                 format_args!("{:.6}", w.hot_pair_share),
             );
-            if let Some(rc) = w.recommended_capacity {
-                family(
-                    &mut t,
-                    "pspc_cache_recommended_capacity",
-                    "gauge",
-                    "Cache capacity the adaptive advisor recommends.",
-                );
-                sample(&mut t, "pspc_cache_recommended_capacity", "", rc);
-            }
-            if let Some(win) = &w.window {
-                for (name, v, help) in [
-                    (
-                        "pspc_window_qps",
-                        win.qps,
-                        "Queries per second over the newest time-series window.",
-                    ),
-                    (
-                        "pspc_window_hit_ratio",
-                        win.hit_rate,
-                        "Cache hit ratio over the newest time-series window.",
-                    ),
-                    (
-                        "pspc_window_p50_us",
-                        win.p50_us,
-                        "Median request latency in the newest window, microseconds.",
-                    ),
-                    (
-                        "pspc_window_p99_us",
-                        win.p99_us,
-                        "99th-percentile request latency in the newest window, microseconds.",
-                    ),
-                ] {
-                    family(&mut t, name, "gauge", help);
-                    sample(&mut t, name, "", format_args!("{v:.3}"));
-                }
-            }
         }
         t
     }
@@ -791,13 +672,13 @@ mod tests {
         assert_eq!(s.insert_requests, 2);
         assert_eq!(s.inserts, 3);
         assert_eq!(s.insert_conflicts, 1);
-        assert_eq!(s.latency_samples, 1);
+        assert_eq!(s.request_hist.count(), 1);
         // Quantiles are log-bucketed: within the documented 1/32 bound
         // of the exact samples (2 µs, 8 µs, 5 µs).
-        assert!(close(s.insert_p50_us, 2.0), "{}", s.insert_p50_us);
-        assert!(close(s.insert_p99_us, 8.0), "{}", s.insert_p99_us);
-        assert!(close(s.p50_us, 5.0), "{}", s.p50_us);
-        assert!(s.p50_us <= s.p90_us && s.p90_us <= s.p99_us && s.p99_us <= s.p999_us);
+        let us = |h: &HistogramSnapshot, q: f64| h.quantile(q) as f64 / 1e3;
+        assert!(close(us(&s.insert_hist, 0.50), 2.0));
+        assert!(close(us(&s.insert_hist, 0.99), 8.0));
+        assert!(close(us(&s.request_hist, 0.50), 5.0));
         let text = s.render();
         assert!(text.contains("pspc_requests_served_total 1\n"));
         assert!(text.contains("pspc_index_load_ms 12.50\n"));
@@ -859,19 +740,6 @@ mod tests {
                 total_pairs: 100,
                 distinct_pairs: 42.5,
                 hot_pair_share: 0.25,
-                recommended_capacity: Some(1024),
-                window: Some(WindowStats {
-                    start_unix_s: 1_700_000_000,
-                    span_secs: 10,
-                    requests: 4,
-                    queries: 100,
-                    cache_hits: 25,
-                    qps: 10.0,
-                    hit_rate: 0.25,
-                    p50_us: 12.5,
-                    p99_us: 80.0,
-                    open: false,
-                }),
             }),
         });
         let text = s.render();
@@ -949,49 +817,65 @@ mod tests {
     #[test]
     fn workload_gauges_render_when_enabled() {
         let m = Metrics::new();
-        let mut g = EngineGauges {
+        let g = EngineGauges {
             workload: Some(WorkloadGauges {
                 total_pairs: 5000,
                 distinct_pairs: 321.4,
                 hot_pair_share: 0.125,
-                recommended_capacity: Some(512),
-                window: Some(WindowStats {
-                    start_unix_s: 1_700_000_000,
-                    span_secs: 10,
-                    requests: 10,
-                    queries: 5000,
-                    cache_hits: 625,
-                    qps: 500.0,
-                    hit_rate: 0.125,
-                    p50_us: 40.0,
-                    p99_us: 900.0,
-                    open: true,
-                }),
             }),
             ..EngineGauges::default()
         };
-        let text = m.snapshot(g.clone()).render();
+        let text = m.snapshot(g).render();
         assert!(text.contains("pspc_workload_pairs_total 5000\n"));
         assert!(text.contains("pspc_distinct_pairs_estimate 321.4\n"));
         assert!(text.contains("pspc_hot_pair_share 0.125000\n"));
-        assert!(text.contains("pspc_cache_recommended_capacity 512\n"));
-        assert!(text.contains("pspc_window_qps 500.000\n"));
-        assert!(text.contains("pspc_window_hit_ratio 0.125\n"));
-        assert!(text.contains("pspc_window_p50_us 40.000\n"));
-        assert!(text.contains("pspc_window_p99_us 900.000\n"));
-        // Before any traffic or advisor verdict the optional lines
-        // vanish but the sketch totals stay.
-        let w = g.workload.as_mut().unwrap();
-        w.recommended_capacity = None;
-        w.window = None;
-        let text = m.snapshot(g).render();
-        assert!(text.contains("pspc_workload_pairs_total"));
-        assert!(!text.contains("pspc_cache_recommended_capacity"));
-        assert!(!text.contains("pspc_window_qps"));
-        // And a disabled sketch renders none of the family.
+        // A disabled sketch renders none of the family.
         let text = m.snapshot(EngineGauges::default()).render();
         assert!(!text.contains("pspc_workload_pairs_total"));
         assert!(!text.contains("pspc_distinct_pairs_estimate"));
+    }
+
+    #[test]
+    fn rendered_buckets_recover_the_request_quantiles() {
+        // Every request quantile must be recoverable from the exposition
+        // alone: nearest-rank over the rendered cumulative `_bucket`
+        // series equals the snapshot's own quantile, up to the f64
+        // round-trip of the `le` label.
+        let m = Metrics::new();
+        for i in 1..=1_000u64 {
+            // 1 µs .. ~3 ms, denser at the low end.
+            m.record_served(1, 1_000 + i * i * 3);
+        }
+        let s = m.snapshot(EngineGauges::default());
+        let text = s.render();
+        let prefix = "pspc_request_latency_seconds_bucket{le=\"";
+        let buckets: Vec<(f64, u64)> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix(prefix))
+            .filter(|rest| !rest.starts_with("+Inf"))
+            .map(|rest| {
+                let (le, cum) = rest.split_once("\"} ").expect("bucket line");
+                (le.parse().unwrap(), cum.parse().unwrap())
+            })
+            .collect();
+        let count: u64 = text
+            .lines()
+            .find_map(|l| l.strip_prefix("pspc_request_latency_seconds_count "))
+            .expect("count line")
+            .parse()
+            .unwrap();
+        assert_eq!(count, 1_000);
+        assert_eq!(buckets.last().map(|b| b.1), Some(count));
+        for q in [0.5, 0.9, 0.99, 0.999] {
+            let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
+            let le_s = buckets
+                .iter()
+                .find(|&&(_, cum)| cum >= rank)
+                .expect("rank within the buckets")
+                .0;
+            let from_text = (le_s * 1e9).round() as u64;
+            assert_eq!(from_text, s.request_hist.quantile(q), "q={q}");
+        }
     }
 
     #[test]
@@ -1017,8 +901,10 @@ mod tests {
             s.spawn(move || {
                 for _ in 0..300 {
                     let snap = m.snapshot(EngineGauges::default());
-                    // Internal consistency of a concurrent scrape.
-                    assert_eq!(snap.latency_samples, snap.request_hist.count());
+                    // Internal consistency of a concurrent scrape: the
+                    // last finite bucket closes at the sample count.
+                    let h = &snap.request_hist;
+                    assert_eq!(h.cumulative_nonzero().last().map_or(0, |b| b.1), h.count());
                     let _ = snap.render();
                 }
             });

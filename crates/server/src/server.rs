@@ -34,8 +34,7 @@
 //! and it is stamped onto the request's span verbatim, so one ID
 //! correlates a request across services. The engine's streaming
 //! workload sketches surface on `GET /debug/hotspots` (HyperLogLog
-//! distinct-pair estimate, SpaceSaving hot pairs / hot sources) and
-//! `GET /debug/timeseries` (per-window qps, hit rate, p50/p99).
+//! distinct-pair estimate, SpaceSaving hot pairs / hot sources).
 //! Lifecycle and per-request diagnostics go through the structured
 //! `PSPC_LOG` logger on stderr (`PSPC_LOG=off` silences it).
 //!
@@ -116,11 +115,6 @@ impl Shared {
                 total_pairs: w.total_pairs(),
                 distinct_pairs: w.distinct_pairs(),
                 hot_pair_share: w.hot_pair_share(),
-                recommended_capacity: self.engine.recommended_cache_capacity(),
-                window: self
-                    .engine
-                    .timeseries()
-                    .and_then(|r| r.recent(1, unix_now_s()).into_iter().next()),
             }),
         }
     }
@@ -129,14 +123,6 @@ impl Shared {
     fn span(&self) -> Option<Span> {
         self.obs.tracing.then(Span::new)
     }
-}
-
-/// Unix seconds now — the clock the workload time-series windows on.
-fn unix_now_s() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0)
 }
 
 /// Completes a request's span: stamps the write stage, logs the trace at
@@ -687,12 +673,6 @@ fn hotspots_json(shared: &Shared, n: usize) -> String {
         w.distinct_pairs(),
         w.hot_pair_share(),
     );
-    match shared.engine.recommended_cache_capacity() {
-        Some(rc) => {
-            let _ = write!(body, ",\"recommended_cache_capacity\":{rc}");
-        }
-        None => body.push_str(",\"recommended_cache_capacity\":null"),
-    }
     body.push_str(",\"hot_pairs\":[");
     for (i, h) in w.hot_pairs(n).iter().enumerate() {
         if i > 0 {
@@ -713,45 +693,6 @@ fn hotspots_json(shared: &Shared, n: usize) -> String {
             body,
             "{{\"vertex\":{},\"count\":{},\"error\":{}}}",
             h.key, h.count, h.error
-        );
-    }
-    body.push_str("]}\n");
-    body
-}
-
-/// Renders the windowed time-series as JSON for `GET /debug/timeseries`:
-/// the `n` newest windows (the still-open one first), each with qps, hit
-/// rate and windowed latency quantiles.
-fn timeseries_json(shared: &Shared, n: usize) -> String {
-    use std::fmt::Write;
-    let Some(ring) = shared.engine.timeseries() else {
-        return "{\"enabled\":false}\n".into();
-    };
-    let mut body = String::with_capacity(1024);
-    let _ = write!(
-        body,
-        "{{\"enabled\":true,\"window_secs\":{},\"windows\":[",
-        ring.window_secs()
-    );
-    for (i, w) in ring.recent(n, unix_now_s()).iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        let _ = write!(
-            body,
-            "{{\"start_unix_s\":{},\"span_secs\":{},\"requests\":{},\"queries\":{},\
-             \"cache_hits\":{},\"qps\":{:.3},\"hit_rate\":{:.4},\"p50_us\":{:.2},\
-             \"p99_us\":{:.2},\"open\":{}}}",
-            w.start_unix_s,
-            w.span_secs,
-            w.requests,
-            w.queries,
-            w.cache_hits,
-            w.qps,
-            w.hit_rate,
-            w.p50_us,
-            w.p99_us,
-            w.open
         );
     }
     body.push_str("]}\n");
@@ -850,20 +791,6 @@ fn serve_http(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> {
             ("GET", "/debug/hotspots") => match req.query_usize("n", 16) {
                 Ok(n) => {
                     let body = hotspots_json(shared, n);
-                    http::write_response(
-                        &mut writer,
-                        200,
-                        "OK",
-                        "application/json",
-                        body.as_bytes(),
-                        keep_alive,
-                    )?;
-                }
-                Err(raw) => bad_param(shared, &mut writer, "n", raw, keep_alive)?,
-            },
-            ("GET", "/debug/timeseries") => match req.query_usize("n", 16) {
-                Ok(n) => {
-                    let body = timeseries_json(shared, n);
                     http::write_response(
                         &mut writer,
                         200,

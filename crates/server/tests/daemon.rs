@@ -181,7 +181,16 @@ fn mixed_http_and_binary_workload_matches_sequential() {
         .parse()
         .unwrap();
     assert!(served >= 14, "served {served} of expected >= 14\n{text}");
-    assert!(text.contains("pspc_request_latency_p99_us"));
+    let latency_count: u64 = text
+        .lines()
+        .find_map(|l| l.strip_prefix("pspc_request_latency_seconds_count "))
+        .unwrap()
+        .parse()
+        .unwrap();
+    assert_eq!(
+        latency_count, served,
+        "one latency sample per served request"
+    );
     assert!(text.contains("pspc_uptime_seconds"));
 
     let final_metrics = handle.shutdown();
@@ -371,15 +380,18 @@ fn insert_then_query_returns_post_insert_answers_on_all_paths() {
     assert!(text.contains("pspc_insert_requests_total 3"), "{text}");
     assert!(text.contains("pspc_inserts_total 2"), "{text}");
     assert!(text.contains("pspc_index_generation 2"), "{text}");
-    assert!(text.contains("pspc_insert_latency_p50_us"), "{text}");
+    assert!(
+        text.contains("pspc_insert_latency_seconds_count 3"),
+        "{text}"
+    );
 
     let m = handle.shutdown();
     assert_eq!(m.inserts, 2);
     assert_eq!(m.insert_requests, 3);
     assert_eq!(m.index_generation, 2);
     assert!(
-        m.insert_p99_us > 0.0,
-        "accepted inserts must feed the latency ring"
+        m.insert_hist.quantile(0.99) > 0,
+        "accepted inserts must feed the insert latency histogram"
     );
 }
 
@@ -708,7 +720,6 @@ fn non_numeric_debug_params_get_400_not_silent_defaults() {
         "/debug/trace?n=zebra",
         "/debug/slow?n=",
         "/debug/hotspots?n=-3",
-        "/debug/timeseries?n=1.5",
     ] {
         let (status, body) = http_request(&addr, "GET", path, b"");
         assert!(status.contains("400"), "{path}: {status}");
@@ -718,16 +729,16 @@ fn non_numeric_debug_params_get_400_not_silent_defaults() {
         );
     }
     // Absent and well-formed values still work.
-    for path in ["/debug/trace", "/debug/trace?n=4", "/debug/timeseries?n=2"] {
+    for path in ["/debug/trace", "/debug/trace?n=4", "/debug/hotspots?n=2"] {
         let (status, _) = http_request(&addr, "GET", path, b"");
         assert!(status.contains("200"), "{path}: {status}");
     }
     let m = handle.shutdown();
-    assert_eq!(m.client_errors, 4, "each bad parameter is a client error");
+    assert_eq!(m.client_errors, 3, "each bad parameter is a client error");
 }
 
 #[test]
-fn hotspot_and_timeseries_endpoints_expose_the_workload_sketch() {
+fn hotspot_endpoint_exposes_the_workload_sketch() {
     let index = small_index();
     let (handle, addr) = start(
         &index,
@@ -769,24 +780,6 @@ fn hotspot_and_timeseries_endpoints_expose_the_workload_sketch() {
         "60% of traffic is one pair: {text}"
     );
 
-    // The time series has at least the open window, with live rates.
-    let (status, body) = http_request(&addr, "GET", "/debug/timeseries", b"");
-    assert!(status.contains("200"), "{status}");
-    let text = String::from_utf8(body).unwrap();
-    assert!(text.contains("\"enabled\":true"), "{text}");
-    assert!(text.contains("\"window_secs\":10"), "{text}");
-    let queries = json_numbers(&text, "queries");
-    assert!(
-        !queries.is_empty() && queries.iter().sum::<f64>() == 400.0,
-        "{text}"
-    );
-    assert!(json_numbers(&text, "qps")[0] > 0.0, "{text}");
-    assert!(
-        json_numbers(&text, "hit_rate")[0] > 0.0,
-        "repeat batches hit the cache: {text}"
-    );
-    assert!(json_numbers(&text, "p99_us")[0] > 0.0, "{text}");
-
     // The same sketch feeds the metric families.
     let (status, body) = http_request(&addr, "GET", "/metrics", b"");
     assert!(status.contains("200"), "{status}");
@@ -794,10 +787,6 @@ fn hotspot_and_timeseries_endpoints_expose_the_workload_sketch() {
     assert!(text.contains("pspc_workload_pairs_total 400"), "{text}");
     assert!(text.contains("pspc_distinct_pairs_estimate"), "{text}");
     assert!(text.contains("pspc_hot_pair_share"), "{text}");
-    assert!(text.contains("pspc_window_qps"), "{text}");
-    assert!(text.contains("pspc_window_hit_ratio"), "{text}");
-    assert!(text.contains("pspc_window_p50_us"), "{text}");
-    assert!(text.contains("pspc_window_p99_us"), "{text}");
     handle.shutdown();
 }
 
@@ -813,15 +802,13 @@ fn disabled_workload_sketch_reports_cleanly_everywhere() {
     );
     let mut client = RemoteClient::connect(&addr).unwrap();
     client.query_batch(&pairs(50, 300, 17)).unwrap();
-    for path in ["/debug/hotspots", "/debug/timeseries"] {
-        let (status, body) = http_request(&addr, "GET", path, b"");
-        assert!(status.contains("200"), "{path}: {status}");
-        assert_eq!(body, b"{\"enabled\":false}\n", "{path}");
-    }
+    let (status, body) = http_request(&addr, "GET", "/debug/hotspots", b"");
+    assert!(status.contains("200"), "{status}");
+    assert_eq!(body, b"{\"enabled\":false}\n");
     let (_, body) = http_request(&addr, "GET", "/metrics", b"");
     let text = String::from_utf8(body).unwrap();
     assert!(!text.contains("pspc_workload_pairs_total"), "{text}");
-    assert!(!text.contains("pspc_window_qps"), "{text}");
+    assert!(!text.contains("pspc_distinct_pairs_estimate"), "{text}");
     handle.shutdown();
 }
 

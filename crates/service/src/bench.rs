@@ -81,23 +81,6 @@ pub fn percentile_sorted_nanos(sorted: &[u64], q: f64) -> u64 {
     sorted[rank - 1]
 }
 
-/// Approximate quantiles through a [`pspc_obs::LogHistogram`]: records
-/// the sample once and reads every requested quantile from cumulative
-/// bucket counts — `O(n + q·buckets)` instead of the sort's
-/// `O(n log n)`, at the histogram's ~2-significant-digit resolution
-/// (each estimate overestimates its exact [`percentile_nanos`]
-/// counterpart by less than 1/32). Useful for long-running loops that
-/// cannot afford to retain and re-sort every sample; one-shot reports
-/// keep using the exact sort-based helpers.
-pub fn bucketed_percentiles(latencies: &[u64], qs: &[f64]) -> Vec<u64> {
-    let hist = pspc_obs::LogHistogram::new();
-    for &v in latencies {
-        hist.record(v);
-    }
-    let snap = hist.snapshot();
-    qs.iter().map(|&q| snap.quantile(q)).collect()
-}
-
 /// Runs the full benchmark: a warmup pass, an untimed throughput pass, a
 /// timed latency pass, and optionally the sequential baseline.
 pub fn run_bench(
@@ -173,24 +156,6 @@ mod tests {
             );
         }
         assert_eq!(percentile_sorted_nanos(&[], 0.5), 0);
-    }
-
-    #[test]
-    fn bucketed_percentiles_track_exact_within_resolution() {
-        let lat: Vec<u64> = (0..5000u64).map(|i| (i * 2654435761) % 1_000_000).collect();
-        let qs = [0.0, 0.25, 0.50, 0.90, 0.99, 1.0];
-        let approx = bucketed_percentiles(&lat, &qs);
-        let mut sorted = lat.clone();
-        sorted.sort_unstable();
-        for (&q, &est) in qs.iter().zip(&approx) {
-            let exact = percentile_sorted_nanos(&sorted, q);
-            assert!(est >= exact, "bucket bound must not undershoot");
-            assert!(
-                est as f64 <= exact as f64 * (1.0 + 1.0 / 32.0) + 1.0,
-                "q={q}: {est} vs exact {exact} exceeds the error bound"
-            );
-        }
-        assert!(bucketed_percentiles(&[], &qs).iter().all(|&v| v == 0));
     }
 
     #[test]

@@ -34,7 +34,7 @@
 
 use parking_lot::Mutex;
 use pspc_graph::{SpcAnswer, VertexId};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Shard count used when the caller passes 0.
 pub const DEFAULT_SHARDS: usize = 8;
@@ -147,24 +147,6 @@ impl Shard {
         self.hand = (victim + 1) % self.capacity;
         (false, evicted_live)
     }
-
-    /// Applies a new capacity. Growing just raises the bound; shrinking
-    /// truncates the slot array (approximate — the adaptive advisor
-    /// resizes rarely, between windows, and evicted entries simply
-    /// refill on their next miss). Returns how many entries were
-    /// dropped.
-    fn set_capacity(&mut self, capacity: usize) -> usize {
-        self.capacity = capacity;
-        if self.slots.len() <= capacity {
-            return 0;
-        }
-        let dropped = self.slots.len() - capacity;
-        for slot in self.slots.drain(capacity..) {
-            self.map.remove(&slot.key);
-        }
-        self.hand = self.hand.min(capacity.saturating_sub(1));
-        dropped
-    }
 }
 
 /// Sharded, size-bounded, generation-aware answer cache. See the
@@ -174,9 +156,7 @@ impl Shard {
 /// engine shares one across all submitting threads.
 pub struct AnswerCache {
     shards: Box<[Mutex<Shard>]>,
-    /// Atomic so the adaptive advisor can [`AnswerCache::resize`] a
-    /// shared cache in place.
-    per_shard: AtomicUsize,
+    per_shard: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -211,7 +191,7 @@ impl AnswerCache {
             shards: (0..shards)
                 .map(|_| Mutex::new(Shard::new(per_shard)))
                 .collect(),
-            per_shard: AtomicUsize::new(per_shard),
+            per_shard,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -221,34 +201,7 @@ impl AnswerCache {
 
     /// Effective total capacity (per-shard capacity × shard count).
     pub fn capacity(&self) -> usize {
-        self.per_shard.load(Ordering::Relaxed) * self.shards.len()
-    }
-
-    /// Resizes the cache in place to ~`capacity` total entries (same
-    /// per-shard rounding as [`AnswerCache::new`]), through a shared
-    /// reference — this is what `pspc serve --cache-adaptive` calls
-    /// between windows when the advisor's recommendation drifts from the
-    /// configured capacity. Growing is free; shrinking drops the excess
-    /// entries per shard (they refill on their next miss). Hit/miss/
-    /// eviction counters carry over; `entries` is adjusted for drops.
-    ///
-    /// # Panics
-    /// Panics on `capacity == 0` — disabling the cache is a construction
-    /// decision, not a resize.
-    pub fn resize(&self, capacity: usize) {
-        assert!(capacity > 0, "AnswerCache: cannot resize to 0");
-        let per_shard = capacity.div_ceil(self.shards.len()).max(1);
-        if per_shard == self.per_shard.load(Ordering::Relaxed) {
-            return;
-        }
-        self.per_shard.store(per_shard, Ordering::Relaxed);
-        let mut dropped = 0u64;
-        for shard in self.shards.iter() {
-            dropped += shard.lock().set_capacity(per_shard) as u64;
-        }
-        if dropped > 0 {
-            self.entries.fetch_sub(dropped, Ordering::Relaxed);
-        }
+        self.per_shard * self.shards.len()
     }
 
     /// Shard count.
@@ -401,41 +354,6 @@ mod tests {
         // 100 / 8 rounds up to 13 per shard.
         assert_eq!(c.capacity(), 13 * DEFAULT_SHARDS);
         assert!(format!("{c:?}").contains("8 shards"));
-    }
-
-    #[test]
-    fn resize_shrinks_and_grows_in_place() {
-        let c = AnswerCache::new(64, 4);
-        for i in 0..64u32 {
-            c.insert((i, i), ans(1, 1), 0);
-        }
-        let before = c.stats();
-        assert!(before.entries > 16, "cache warmed: {before:?}");
-        // Shrink: capacity and entry count drop; survivors still hit.
-        c.resize(16);
-        assert_eq!(c.capacity(), 16);
-        let s = c.stats();
-        assert!(
-            s.entries <= 16,
-            "entries {} exceed shrunk capacity",
-            s.entries
-        );
-        let survivors = (0..64u32).filter(|&i| c.get((i, i), 0).is_some()).count();
-        assert_eq!(survivors as u64, s.entries);
-        // Grow: new inserts fill the added room without evictions.
-        c.resize(256);
-        assert_eq!(c.capacity(), 256);
-        let evictions_before = c.stats().evictions;
-        for i in 100..200u32 {
-            c.insert((i, i), ans(1, 1), 0);
-        }
-        assert_eq!(c.stats().evictions, evictions_before);
-        for i in 100..200u32 {
-            assert!(c.get((i, i), 0).is_some());
-        }
-        // Resizing to the current capacity is a no-op.
-        c.resize(256);
-        assert_eq!(c.capacity(), 256);
     }
 
     #[test]

@@ -37,26 +37,19 @@
 //! the channel hands out every queued chunk before reporting disconnect,
 //! so in-flight batches complete and only then do workers exit.
 
-use crate::advisor;
 use crate::cache::AnswerCache;
 use crate::kind::{IndexKind, InsertError};
 use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
 use pspc_core::SpcIndex;
 use pspc_graph::{SpcAnswer, VertexId};
-use pspc_obs::{Span, Stage, TimeSeriesRing, WorkloadSketch, DEFAULT_HEAVY_HITTERS};
+use pspc_obs::{Span, Stage, WorkloadSketch, DEFAULT_HEAVY_HITTERS};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Default bound of the submission queue, in chunks.
 pub const DEFAULT_QUEUE_DEPTH: usize = 4096;
-
-/// Default workload time-series window length, in seconds.
-pub const DEFAULT_WINDOW_SECS: u64 = 10;
-
-/// Closed windows the workload time-series ring retains.
-const TIMESERIES_CAPACITY: usize = 64;
 
 /// Sketcher backlog (in pairs) up to which heavy-hitter recording stays
 /// exact; each further doubling of the backlog doubles the sampling
@@ -87,6 +80,10 @@ const SKETCHER_IDLE_RATIO: u32 = 255;
 /// by more than this.
 const SKETCHER_MAX_IDLE: std::time::Duration = std::time::Duration::from_millis(100);
 
+/// How often [`QueryEngine::workload_quiesce`] re-checks the sketcher's
+/// backlog while it waits.
+const QUIESCE_POLL: std::time::Duration = std::time::Duration::from_millis(1);
+
 /// Tuning knobs for [`QueryEngine`].
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
@@ -112,17 +109,10 @@ pub struct EngineConfig {
     /// when the cache is disabled.
     pub cache_shards: usize,
     /// Feed the streaming workload sketch (distinct-pair HLL, heavy
-    /// hitters, windowed time series) from every batch. On by default —
-    /// recording is wait-free and a few nanoseconds per pair; the flag
-    /// exists so the overhead bench can measure exactly that.
+    /// hitters) from every batch. On by default — recording is
+    /// wait-free and a few nanoseconds per pair; the flag exists so the
+    /// overhead bench can measure exactly that.
     pub workload_sketch: bool,
-    /// Workload time-series window length in seconds
-    /// (0 = [`DEFAULT_WINDOW_SECS`]).
-    pub window_secs: u64,
-    /// Let the cache advisor resize the result cache between windows
-    /// (`pspc serve --cache-adaptive`). Without it the advisor only
-    /// publishes its recommendation.
-    pub cache_adaptive: bool,
 }
 
 impl Default for EngineConfig {
@@ -135,8 +125,6 @@ impl Default for EngineConfig {
             cache_capacity: 0,
             cache_shards: 0,
             workload_sketch: true,
-            window_secs: 0,
-            cache_adaptive: false,
         }
     }
 }
@@ -257,8 +245,7 @@ pub struct WorkerStat {
     pub chunks: u64,
 }
 
-/// The engine's workload-analytics state: the streaming sketch, the
-/// windowed time-series ring, the advisor's latest verdict and the
+/// The engine's workload-analytics state: the streaming sketch and the
 /// background sketcher thread.
 ///
 /// Recording splits in two so the request path never takes the sketch
@@ -271,11 +258,6 @@ pub struct WorkerStat {
 /// the queue to drain.
 struct WorkloadState {
     sketch: Arc<WorkloadSketch>,
-    ring: TimeSeriesRing,
-    /// Latest recommended cache capacity (0 until the first verdict).
-    recommended: AtomicU64,
-    /// Window id the advisor last ran for (one verdict per window).
-    advised_window: AtomicU64,
     /// Batches shipped to the sketcher and not yet folded in.
     pending: Arc<AtomicU64>,
     /// `None` only during teardown.
@@ -284,7 +266,7 @@ struct WorkloadState {
 }
 
 impl WorkloadState {
-    fn new(window_secs: u64) -> Self {
+    fn new() -> Self {
         let sketch = Arc::new(WorkloadSketch::new(DEFAULT_HEAVY_HITTERS));
         let pending = Arc::new(AtomicU64::new(0));
         let (hitter_tx, hitter_rx) = channel::unbounded::<Vec<(VertexId, VertexId)>>();
@@ -331,9 +313,6 @@ impl WorkloadState {
         };
         WorkloadState {
             sketch,
-            ring: TimeSeriesRing::new(window_secs, TIMESERIES_CAPACITY),
-            recommended: AtomicU64::new(0),
-            advised_window: AtomicU64::new(0),
             pending,
             hitter_tx: Some(hitter_tx),
             sketcher: Some(sketcher),
@@ -366,14 +345,6 @@ impl Drop for WorkloadState {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-/// Wall-clock unix seconds (0 before the epoch, which cannot happen on a
-/// sane clock).
-fn unix_now_s() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs())
 }
 
 /// Recycler for the answer buffers that shuttle between workers and
@@ -473,7 +444,7 @@ pub struct QueryEngine {
     /// before chunking and back-filled after; entries are stamped with
     /// the index generation so inserts invalidate implicitly.
     cache: Option<AnswerCache>,
-    /// Workload analytics (sketches + time series + advisor), when
+    /// Workload analytics (distinct-pair HLL + heavy hitters), when
     /// `cfg.workload_sketch`.
     workload: Option<WorkloadState>,
 }
@@ -525,12 +496,7 @@ impl QueryEngine {
             .collect();
         let cache = (cfg.cache_capacity > 0)
             .then(|| AnswerCache::new(cfg.cache_capacity, cfg.cache_shards));
-        let window_secs = if cfg.window_secs == 0 {
-            DEFAULT_WINDOW_SECS
-        } else {
-            cfg.window_secs
-        };
-        let workload = cfg.workload_sketch.then(|| WorkloadState::new(window_secs));
+        let workload = cfg.workload_sketch.then(WorkloadState::new);
         QueryEngine {
             index,
             cfg,
@@ -588,90 +554,25 @@ impl QueryEngine {
             if Instant::now() >= deadline {
                 return false;
             }
-            std::thread::yield_now();
+            // Sleep rather than spin: the sketcher may idle for up to
+            // SKETCHER_MAX_IDLE between drains, and a spinning reader
+            // would take a core from the pool workers meanwhile.
+            std::thread::sleep(QUIESCE_POLL);
         }
         true
     }
 
-    /// The windowed serving time series (qps, hit rate, windowed
-    /// p50/p99), when [`EngineConfig::workload_sketch`] is on — the data
-    /// behind `GET /debug/timeseries` and the `pspc_window_*` gauges.
-    pub fn timeseries(&self) -> Option<&TimeSeriesRing> {
-        self.workload.as_ref().map(|w| &w.ring)
-    }
-
-    /// The advisor's most recent recommended cache capacity (`None`
-    /// while the workload sketch is off or before the first verdict).
-    pub fn recommended_cache_capacity(&self) -> Option<u64> {
-        let w = self.workload.as_ref()?;
-        match w.recommended.load(Ordering::Relaxed) {
-            0 => None,
-            r => Some(r),
-        }
-    }
-
-    /// Computes a fresh advisor verdict from the live sketch and cache
-    /// gauges without applying it (`None` when the workload sketch is
-    /// off). The applied path runs once per window inside the batch
-    /// pipeline; this is for inspection (benches, debug endpoints).
-    pub fn cache_advice(&self) -> Option<advisor::CacheAdvice> {
-        let w = self.workload.as_ref()?;
-        Some(advisor::advise(
-            w.sketch.distinct_pairs(),
-            self.cache.as_ref().map_or(0, AnswerCache::capacity),
-            self.cache_hit_rate(),
-        ))
-    }
-
-    /// Lifetime cache hit rate in `0..=1` (0 without a cache or before
-    /// any probe).
-    fn cache_hit_rate(&self) -> f64 {
-        self.cache.as_ref().map_or(0.0, |c| {
-            let s = c.stats();
-            let probes = s.hits + s.misses;
-            if probes == 0 {
-                0.0
-            } else {
-                s.hits as f64 / probes as f64
-            }
-        })
-    }
-
-    /// Feeds one completed batch into the workload sketch and the time
-    /// series, and runs the advisor when a window has turned. The
+    /// Feeds one completed batch into the workload sketch. The
     /// request-path cost is wait-free (relaxed atomics plus one batch
     /// copy); the locked heavy-hitter updates run on the sketcher
-    /// thread, and the advisor runs on at most one batch per window.
-    fn record_workload(&self, pairs: &[(VertexId, VertexId)], cache_hits: u64, wall_secs: f64) {
+    /// thread.
+    fn record_workload(&self, pairs: &[(VertexId, VertexId)]) {
         let Some(w) = &self.workload else { return };
         if pairs.is_empty() {
             return;
         }
         w.sketch.record_totals(pairs);
         w.ship_hitters(pairs);
-        let now_s = unix_now_s();
-        w.ring.record(
-            pairs.len() as u64,
-            cache_hits,
-            (wall_secs * 1e9) as u64,
-            now_s,
-        );
-        let wid = now_s / w.ring.window_secs();
-        if w.advised_window.swap(wid, Ordering::Relaxed) == wid {
-            return;
-        }
-        let advice = advisor::advise(
-            w.sketch.distinct_pairs(),
-            self.cache.as_ref().map_or(0, AnswerCache::capacity),
-            self.cache_hit_rate(),
-        );
-        w.recommended
-            .store(advice.recommended as u64, Ordering::Relaxed);
-        if self.cfg.cache_adaptive && advice.resize {
-            if let Some(cache) = &self.cache {
-                cache.resize(advice.recommended);
-            }
-        }
     }
 
     /// The undirected index being served.
@@ -845,7 +746,7 @@ impl QueryEngine {
     ) -> Result<(Vec<SpcAnswer>, BatchReport, Vec<u64>), SubmitError> {
         let Some(cache) = &self.cache else {
             let out = self.execute_pool(pairs, time_queries, admission, span)?;
-            self.record_workload(pairs, 0, out.1.wall_secs);
+            self.record_workload(pairs);
             return Ok(out);
         };
         let n = pairs.len();
@@ -902,7 +803,7 @@ impl QueryEngine {
             wall_secs: t0.elapsed().as_secs_f64(),
             reachable: answers.iter().filter(|a| a.is_reachable()).count(),
         };
-        self.record_workload(pairs, (n - missing_idx.len()) as u64, report.wall_secs);
+        self.record_workload(pairs);
         Ok((answers, report, latencies))
     }
 
@@ -1343,11 +1244,10 @@ mod tests {
     }
 
     #[test]
-    fn workload_sketch_records_batches_and_advises() {
+    fn workload_sketch_records_batches() {
         let e = engine(EngineConfig {
             workers: 2,
             cache_capacity: 8192,
-            window_secs: 1,
             ..EngineConfig::default()
         });
         // A skewed batch: one dominant pair plus a spread.
@@ -1363,19 +1263,6 @@ mod tests {
         );
         assert_eq!(w.hot_pairs(1)[0].key, (1, 2));
         assert!(w.hot_pair_share() > 0.4);
-        let ring = e.timeseries().expect("time series on by default");
-        let now = super::unix_now_s();
-        let recent = ring.recent(4, now);
-        assert!(!recent.is_empty(), "the open window must show traffic");
-        assert_eq!(recent.iter().map(|w| w.requests).sum::<u64>(), 1);
-        // The advisor ran on the first batch of the first window.
-        let advice = e.cache_advice().expect("advice available");
-        assert!(advice.recommended >= advisor::MIN_CAPACITY);
-        assert_eq!(
-            e.recommended_cache_capacity(),
-            Some(advisor::MIN_CAPACITY as u64),
-            "first verdict ran on a nearly-empty sketch"
-        );
     }
 
     #[test]
@@ -1387,40 +1274,7 @@ mod tests {
         });
         e.run(&pairs(64, 300, 5));
         assert!(e.workload().is_none());
-        assert!(e.timeseries().is_none());
-        assert!(e.recommended_cache_capacity().is_none());
-        assert!(e.cache_advice().is_none());
-    }
-
-    #[test]
-    fn adaptive_cache_applies_the_advisors_verdict() {
-        // A deliberately oversized cache plus a tiny working set: the
-        // advisor must recommend (far) less and, with cache_adaptive on,
-        // shrink the live cache when its window turns.
-        let e = engine(EngineConfig {
-            workers: 2,
-            cache_capacity: 100_000,
-            cache_adaptive: true,
-            window_secs: 1,
-            ..EngineConfig::default()
-        });
-        let ps = pairs(500, 300, 17);
-        let deadline = Instant::now() + std::time::Duration::from_secs(10);
-        // Drive repeat traffic across at least two window turns.
-        while Instant::now() < deadline {
-            e.run(&ps);
-            if e.cache().unwrap().capacity() < 100_000 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-        let live = e.cache().unwrap().capacity();
-        assert!(
-            live < 100_000,
-            "adaptive engine must shrink an oversized cache (live {live})"
-        );
-        // Answers stay correct across the resize.
-        assert_eq!(e.run(&ps), e.index().query_batch_sequential(&ps));
+        assert!(e.workload_quiesce(std::time::Duration::ZERO));
     }
 
     #[test]

@@ -341,12 +341,6 @@ impl IndexKind {
     /// [`IndexKind::insert_edges`] slice that changed the graph. Static
     /// kinds are constant 0 — their graphs never evolve, so any stamped
     /// answer stays valid forever. See [`DynamicShared`].
-    ///
-    /// Consumers beyond the cache's stale-entry check: the adaptive
-    /// cache advisor resizes the answer cache *between* generations —
-    /// [`crate::AnswerCache::resize`] needs no coordination with this
-    /// counter because every surviving entry keeps its stamp, so a
-    /// resize racing an insert still serves no stale answer.
     pub fn generation(&self) -> u64 {
         match self {
             IndexKind::Undirected(_) | IndexKind::Directed(_) | IndexKind::Sharded(_) => 0,

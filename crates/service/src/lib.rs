@@ -21,13 +21,7 @@
 //! * [`cache`] — [`AnswerCache`]: a sharded, size-bounded hot-pair
 //!   result cache probed by the engine before chunking (CLOCK eviction,
 //!   no global lock), with entries stamped by the [`IndexKind`]
-//!   generation counter so dynamic inserts invalidate implicitly, and
-//!   resizable in place ([`AnswerCache::resize`]) for adaptive serving;
-//! * [`advisor`] — the adaptive cache advisor: compares the engine's
-//!   HyperLogLog distinct-pair estimate against live cache capacity and
-//!   hit rate, publishes a recommended capacity
-//!   (`pspc_cache_recommended_capacity`) and, under
-//!   `pspc serve --cache-adaptive`, resizes the cache between windows;
+//!   generation counter so dynamic inserts invalidate implicitly;
 //! * [`bench`] — sustained-throughput measurement (queries/sec, p50/p99
 //!   latency) and the sequential baseline comparison;
 //! * [`pairs`] — text and JSON I/O for query workloads;
@@ -74,7 +68,6 @@
 
 #![warn(missing_docs)]
 
-pub mod advisor;
 pub mod bench;
 pub mod cache;
 pub mod cli;
@@ -82,11 +75,9 @@ pub mod engine;
 pub mod kind;
 pub mod pairs;
 
-pub use advisor::CacheAdvice;
 pub use bench::{run_bench, BenchReport};
 pub use cache::{AnswerCache, CacheStats};
 pub use engine::{
     BatchReport, EngineConfig, QueryEngine, SubmitError, WorkerStat, DEFAULT_QUEUE_DEPTH,
-    DEFAULT_WINDOW_SECS,
 };
 pub use kind::{IndexKind, InsertError};
