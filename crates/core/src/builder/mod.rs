@@ -103,7 +103,8 @@ pub struct PspcBuildStats {
     pub iterations: usize,
     /// New label entries created per iteration.
     pub entries_per_iteration: Vec<usize>,
-    /// Total work units per iteration (candidates scanned + query probes).
+    /// Total work units per iteration (candidates scanned + probes made
+    /// until the prune decision).
     pub work_per_iteration: Vec<u64>,
     /// Landmark table bytes (construction-time scratch).
     pub landmark_table_bytes: usize,
@@ -199,7 +200,6 @@ pub fn build_pspc_with_order(
                 &ctx,
                 &ranges,
                 config.schedule,
-                threads,
                 &pool,
                 &wpool,
                 &mut new,
@@ -299,12 +299,10 @@ fn split_by_ranges<'a, T>(mut data: &'a mut [T], ranges: &[Range<usize>]) -> Vec
 ///   paper's node-order-based plan, including its imbalance.
 /// * `Dynamic`: cost-based chunks on the rayon pool — chunks are dispensed
 ///   to idle workers (work stealing), the paper's dynamic plan.
-#[allow(clippy::too_many_arguments)]
 fn run_pull_iteration(
     ctx: &PropagationCtx<'_>,
     ranges: &[Range<usize>],
     plan: SchedulePlan,
-    threads: usize,
     pool: &rayon::ThreadPool,
     wpool: &WorkspacePool,
     new: &mut [Vec<LabelEntry>],
@@ -337,7 +335,6 @@ fn run_pull_iteration(
                 }
             })
             .expect("static scheduling thread panicked");
-            let _ = threads;
             total.into_inner()
         }
         SchedulePlan::Dynamic { .. } => {

@@ -83,17 +83,14 @@ pub(crate) fn run_push_iteration(
             let target = all[g.start].0;
             wpool.with(|ws| {
                 // Merge adjacent duplicates (Label Merging) into the
-                // candidate scratch, preserving ascending hub order.
+                // candidate scratch; the group is sorted by hub, so the
+                // touch list comes out ascending.
                 ws.cand.clear();
-                let mut hubs: Vec<u32> = Vec::new();
                 for &(_, h, c) in &all[g.clone()] {
-                    if hubs.last() != Some(&h) {
-                        hubs.push(h);
-                    }
                     ws.cand.add(h, c);
                 }
                 let mut out = Vec::new();
-                let w = super::pull::filter_candidates(ctx, target, ws, &hubs, &mut out);
+                let w = super::pull::filter_candidates(ctx, target, ws, &mut out);
                 (target, out, w)
             })
         })

@@ -17,7 +17,7 @@
 
 use super::DiSpcIndex;
 use crate::label::{IndexStats, LabelEntry, LabelSet};
-use crate::scratch::{Workspace, WorkspacePool};
+use crate::scratch::{query_prunes, Workspace, WorkspacePool};
 use pspc_graph::digraph::{di_bfs_backward_into, di_bfs_forward_into, DiGraph};
 use pspc_graph::VertexId;
 use pspc_order::VertexOrder;
@@ -159,6 +159,7 @@ pub fn build_di_pspc_with_order(
                             &lin,
                             &lout,
                             &ps_in,
+                            &ps_out,
                             landmarks.as_ref(),
                             ws,
                             true,
@@ -170,6 +171,7 @@ pub fn build_di_pspc_with_order(
                             &lout,
                             &lin,
                             &ps_out,
+                            &ps_in,
                             landmarks.as_ref(),
                             ws,
                             false,
@@ -208,6 +210,13 @@ pub fn build_di_pspc_with_order(
 ///
 /// `own` is the side being extended (`lin` when `in_side`, else `lout`);
 /// `other` is the opposite side, used for the 2-hop pruning query.
+/// `prev_start`/`other_start` mark where each side's level-`d-1` entries
+/// begin.
+///
+/// The query scans `other[w]` only up to `other_start[w]` (levels ≤ d-2):
+/// every hub of `other[w]` ranks at or above `w`, which ranks above `u`, so
+/// its leg to or from `u` in the loaded label is ≥ 1 and a level-`d-1`
+/// entry can never prune (the undirected argument in `builder::pull`).
 #[allow(clippy::too_many_arguments)]
 fn propagate_side(
     rg: &DiGraph,
@@ -216,6 +225,7 @@ fn propagate_side(
     own: &[Vec<LabelEntry>],
     other: &[Vec<LabelEntry>],
     prev_start: &[u32],
+    other_start: &[u32],
     landmarks: Option<&DiLandmarks>,
     ws: &mut Workspace,
     in_side: bool,
@@ -242,11 +252,11 @@ fn propagate_side(
     for e in &own[u as usize] {
         ws.dist.set(e.hub, e.dist);
     }
-    let mut hubs: Vec<u32> = ws.cand.touched().to_vec();
-    hubs.sort_unstable();
+    ws.cand.sort_touched();
+    let Workspace { dist, cand } = ws;
     let mut out = Vec::new();
-    for &w in &hubs {
-        if ws.dist.contains(w) {
+    for &w in cand.touched() {
+        if dist.contains(w) {
             continue; // Label Elimination
         }
         let pruned = match landmarks {
@@ -261,21 +271,18 @@ fn propagate_side(
                 // Forward pair (w -> u): legs dist(w->h) ∈ Lout(w) and
                 // dist(h->u) ∈ Lin(u) [loaded]. Backward pair (u -> w):
                 // legs dist(h->w) ∈ Lin(w) and dist(u->h) ∈ Lout(u)
-                // [loaded]. Either way: iterate `other[w]`, probe scratch.
-                let mut q = u32::MAX;
-                for e in &other[w as usize] {
-                    if let Some(du) = ws.dist.get(e.hub) {
-                        q = q.min(e.dist as u32 + du as u32);
-                    }
-                }
-                q < d as u32
+                // [loaded]. Either way: iterate `other[w]` up to its
+                // level d-1, probe scratch until the first witness.
+                let (older, last) = other[w as usize].split_at(other_start[w as usize] as usize);
+                debug_assert!(last.iter().all(|e| e.dist == d - 1));
+                query_prunes(older, dist, d).0
             }
         };
         if !pruned {
             out.push(LabelEntry {
                 hub: w,
                 dist: d,
-                count: ws.cand.count(w),
+                count: cand.count(w),
             });
         }
     }

@@ -41,7 +41,10 @@
 //! Shutdown (via [`ServerHandle::shutdown`], dropping the handle, or the
 //! `POST /shutdown` admin endpoint) is graceful: the accept loop stops,
 //! handler threads finish their in-flight request and close, and the
-//! engine pool drains its queue before its workers exit.
+//! engine pool drains its queue before its workers exit. Bytes already
+//! sent count as in flight; a connection that has not sent its first
+//! request gets a short grace to send it; idle keep-alive connections
+//! close at once.
 
 use crate::metrics::{EngineGauges, Metrics, MetricsSnapshot, WorkloadGauges};
 use crate::{http, proto};
@@ -58,6 +61,11 @@ use std::time::{Duration, Instant};
 const IDLE_POLL: Duration = Duration::from_millis(100);
 /// How long `finish` waits for handler threads to drain.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(15);
+/// How long a connection that has not sent its first request yet may
+/// still send it once shutdown has begun. It was accepted before the
+/// listener closed, so its request is owed an answer; idle keep-alive
+/// connections are closed at once.
+const FIRST_REQUEST_GRACE: Duration = Duration::from_secs(2);
 
 /// Observability knobs of one daemon: request tracing and the sizes of
 /// the completed-trace ring and slow-query log.
@@ -223,11 +231,9 @@ pub fn serve_with_obs(
         .name("pspc-accept".into())
         .spawn(move || {
             for stream in listener.incoming() {
-                if accept_shared.shutdown.load(Ordering::Acquire) {
-                    break;
-                }
                 let stream = match stream {
                     Ok(stream) => stream,
+                    Err(_) if accept_shared.shutdown.load(Ordering::Acquire) => break,
                     Err(e) => {
                         // Transient accept errors (EMFILE under fd
                         // exhaustion, ECONNABORTED) must not hot-spin the
@@ -245,6 +251,11 @@ pub fn serve_with_obs(
                         let _guard = guard;
                         let _ = handle_connection(&_guard.0, stream);
                     });
+                // Checked after the hand-off: the connection accepted as
+                // shutdown began may be a client's, not the wake-up one.
+                if accept_shared.shutdown.load(Ordering::Acquire) {
+                    break;
+                }
             }
         })?;
     Ok(ServerHandle {
@@ -377,7 +388,17 @@ enum Wait {
 /// Waits until `min` bytes can be peeked, EOF, or shutdown. The read
 /// timeout doubles as the shutdown poll interval, so idle keep-alive
 /// connections notice a shutdown within [`IDLE_POLL`].
-fn wait_for_bytes(stream: &TcpStream, shared: &Shared, min: usize) -> io::Result<Wait> {
+///
+/// Bytes already sent take priority over shutdown: the flag is only
+/// consulted when nothing is readable. A `fresh` connection (no request
+/// read yet) keeps waiting for its first request for up to
+/// [`FIRST_REQUEST_GRACE`] after shutdown begins.
+fn wait_for_bytes(
+    stream: &TcpStream,
+    shared: &Shared,
+    min: usize,
+    fresh: bool,
+) -> io::Result<Wait> {
     debug_assert!(min <= 4);
     stream.set_read_timeout(Some(IDLE_POLL))?;
     let mut buf = [0u8; 4];
@@ -385,10 +406,8 @@ fn wait_for_bytes(stream: &TcpStream, shared: &Shared, min: usize) -> io::Result
     // arrives — not at wait start, or a connection that idles before
     // sending would get its first bytes sniffed prematurely.
     let mut short_since: Option<Instant> = None;
+    let mut shutdown_since: Option<Instant> = None;
     loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return Ok(Wait::Shutdown);
-        }
         match stream.peek(&mut buf[..min.max(1)]) {
             Ok(0) => return Ok(Wait::Eof),
             Ok(k)
@@ -411,7 +430,14 @@ fn wait_for_bytes(stream: &TcpStream, shared: &Shared, min: usize) -> io::Result
                 std::thread::sleep(Duration::from_millis(1));
             }
             Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
+            {
+                if shared.shutdown.load(Ordering::Acquire) {
+                    let since = *shutdown_since.get_or_insert_with(Instant::now);
+                    if !fresh || since.elapsed() >= FIRST_REQUEST_GRACE {
+                        return Ok(Wait::Shutdown);
+                    }
+                }
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
@@ -421,7 +447,7 @@ fn wait_for_bytes(stream: &TcpStream, shared: &Shared, min: usize) -> io::Result
 
 fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> {
     stream.set_nodelay(true).ok();
-    let sniff = match wait_for_bytes(&stream, shared, 4)? {
+    let sniff = match wait_for_bytes(&stream, shared, 4, true)? {
         Wait::Ready(b) => b,
         Wait::Eof | Wait::Shutdown => return Ok(()),
     };
@@ -545,7 +571,7 @@ fn serve_binary(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> {
         // Pipelined requests may already sit in the buffer; only hit the
         // socket-level idle wait when it is empty.
         if reader.buffer().is_empty() {
-            match wait_for_bytes(&stream, shared, 1)? {
+            match wait_for_bytes(&stream, shared, 1, false)? {
                 Wait::Ready(_) => {}
                 Wait::Eof | Wait::Shutdown => return Ok(()),
             }
@@ -717,7 +743,7 @@ fn serve_http(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> {
     let mut writer = stream.try_clone()?;
     loop {
         if reader.buffer().is_empty() {
-            match wait_for_bytes(&stream, shared, 1)? {
+            match wait_for_bytes(&stream, shared, 1, false)? {
                 Wait::Ready(_) => {}
                 Wait::Eof | Wait::Shutdown => return Ok(()),
             }

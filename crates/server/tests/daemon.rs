@@ -323,6 +323,29 @@ fn shutdown_drains_in_flight_batches() {
 }
 
 #[test]
+fn shutdown_answers_the_first_request_of_an_accepted_connection() {
+    let index = small_index();
+    let (handle, addr) = start(&index, EngineConfig::default());
+    let mut client = RemoteClient::connect(&addr).unwrap();
+    let ps = pairs(64, 300, 7);
+    let expect = index.query_batch_sequential(&ps);
+    std::thread::scope(|s| {
+        let stopper = s.spawn(move || handle.shutdown());
+        // Shutdown is under way once the listener refuses connections.
+        while TcpStream::connect(&addr).is_ok() {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        // A slow client sends a few idle polls later still: it connected
+        // before the listener closed, so its request must be answered,
+        // not reset.
+        std::thread::sleep(std::time::Duration::from_millis(300));
+        let answers = client.query_batch(&ps).expect("answered, not reset");
+        assert_eq!(answers, expect);
+        stopper.join().unwrap();
+    });
+}
+
+#[test]
 fn insert_then_query_returns_post_insert_answers_on_all_paths() {
     // Path graph 0 — 1 — … — 9: dist(0, 9) = 9 before any insert.
     let (handle, addr) = start_dynamic_path(10, EngineConfig::default());

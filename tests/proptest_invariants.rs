@@ -18,17 +18,30 @@ fn arb_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = Graph> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// PSPC and HP-SPC build the same ESPC for every graph and order.
+    /// PSPC and HP-SPC build the same ESPC for every graph and order, under
+    /// both paradigms and with or without landmarks (with none, every prune
+    /// decision goes through the 2-hop query).
     #[test]
-    fn espc_unique_given_order(g in arb_graph(40, 120), degree_order in any::<bool>()) {
+    fn espc_unique_given_order(
+        g in arb_graph(40, 120),
+        degree_order in any::<bool>(),
+        num_landmarks in 0..6usize,
+        push in any::<bool>(),
+    ) {
         let strategy = if degree_order {
             OrderingStrategy::Degree
         } else {
             OrderingStrategy::Hybrid { delta: 2 }
         };
+        let paradigm = if push { Paradigm::Push } else { Paradigm::Pull };
         let order = strategy.compute(&g);
         let seq = build_hpspc_with_order(&g, order.clone(), None);
-        let cfg = PspcConfig { ordering: strategy, num_landmarks: 5, ..PspcConfig::default() };
+        let cfg = PspcConfig {
+            ordering: strategy,
+            num_landmarks,
+            paradigm,
+            ..PspcConfig::default()
+        };
         let (par, _) = build_pspc_with_order(&g, order, None, &cfg);
         prop_assert_eq!(seq.label_arena(), par.label_arena());
     }
